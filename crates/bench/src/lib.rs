@@ -106,8 +106,7 @@ pub fn ascii_plot(title: &str, series: &[(&str, Vec<f64>)], height: usize) -> St
 
 /// Dumps the global telemetry snapshot to `results/telemetry_<name>.json`
 /// (JSON-lines) and reports the path on stdout. Call at the end of each
-/// experiment binary; without the `telemetry` feature this is a no-op.
-#[cfg(feature = "telemetry")]
+/// experiment binary.
 pub fn write_telemetry_snapshot(name: &str) {
     let snapshot = espread_telemetry::global().snapshot();
     let path = format!("results/telemetry_{name}.json");
@@ -122,9 +121,16 @@ pub fn write_telemetry_snapshot(name: &str) {
     }
 }
 
-/// No-op without the `telemetry` feature.
-#[cfg(not(feature = "telemetry"))]
-pub fn write_telemetry_snapshot(_name: &str) {}
+/// `(count, p50, p99, max)` of the server's window-RTT histogram in the
+/// global registry, all zero when no window was ever acked.
+pub fn server_rtt_summary() -> (u64, u64, u64, u64) {
+    let snapshot = espread_telemetry::global().snapshot();
+    let Some(h) = snapshot.histogram("net.server.rtt_us") else {
+        return (0, 0, 0, 0);
+    };
+    let p = |q| h.percentile(q).unwrap_or(0);
+    (h.count, p(0.50), p(0.99), h.max)
+}
 
 /// Mean of a slice (0 when empty).
 pub fn mean(values: &[f64]) -> f64 {

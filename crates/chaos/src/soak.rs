@@ -63,8 +63,8 @@ pub struct SoakConfig {
     /// invariant violation (a stalled session).
     pub cell_budget: Duration,
     /// Where to dump each cell's flight-recorder trace
-    /// (`timeline_seed<seed>.jsonl`). `None` (the default, and the only
-    /// behaviour without the `telemetry` feature) records no traces.
+    /// (`timeline_seed<seed>.jsonl`). `None` (the default) writes no
+    /// dumps.
     /// The dump path lands in [`CellReport::trace`] and on `REPRODUCER`
     /// lines; the dumps themselves carry timestamps and sit outside the
     /// byte-identical report contract.
@@ -184,8 +184,7 @@ fn run_cell(
 }
 
 /// Dispatches on the schedule's invariant regime. The final `String` is
-/// the cell's concatenated flight-recorder dump (empty without the
-/// `telemetry` feature).
+/// the cell's concatenated flight-recorder dump.
 fn e2e_stage(s: &FaultSchedule) -> (Vec<String>, Option<CompareOutcome>, String) {
     match s.mode {
         ChaosMode::Compare => compare_cell(s),
@@ -358,11 +357,10 @@ fn overload_offer(s: &FaultSchedule) -> SessionOffer {
 /// handshake flood, admitted ghosts that never `Begin`, a wedged reader
 /// that `Begin`s and then stops draining, and a real-client swarm at
 /// twice the cap — all over a clean loopback, because demand is the
-/// only fault. The telemetry variant additionally cross-checks the
+/// only fault. Beyond the storm's own invariants it cross-checks the
 /// scoped counters (Busy refusals, cache evictions, watchdog
 /// terminations, admitted == reaped) and replays the flight recording
 /// to prove no *critical* frame was ever shed.
-#[cfg(feature = "telemetry")]
 fn overload_cell(s: &FaultSchedule) -> (Vec<String>, String) {
     use espread_obs::{
         all_to_json_lines, reconstruct, trio, Cause, FrameOutcome, DEFAULT_CAPACITY,
@@ -442,18 +440,8 @@ fn overload_cell(s: &FaultSchedule) -> (Vec<String>, String) {
     (v, all_to_json_lines(&recordings))
 }
 
-/// Without the telemetry feature there are no counters to cross-check
-/// and no recording to replay, but the storm and its structural
-/// invariants (the cap, the drain back to zero, typed outcomes) still
-/// run.
-#[cfg(not(feature = "telemetry"))]
-fn overload_cell(s: &FaultSchedule) -> (Vec<String>, String) {
-    let v = overload_run(s, SessionRecorder::disabled(), SessionRecorder::disabled());
-    (v, String::new())
-}
-
-/// The storm itself, shared by both feature states. Returns violations
-/// of everything observable without telemetry: admission beyond the
+/// The storm itself. Returns violations of everything observable
+/// from the outside, without counters or recordings: admission beyond the
 /// cap, a missing Busy under guaranteed pressure, a Reject where Busy
 /// was owed, swarm wipeout, or a server that never drains back to zero
 /// live sessions.
@@ -773,7 +761,6 @@ fn raw_session(
 /// client's own `espread-qos` measurement — three independently
 /// maintained accounts of the same realisation, all required to agree.
 /// The returned `String` is the trio's JSONL dump.
-#[cfg(feature = "telemetry")]
 fn scoped_session(
     s: &FaultSchedule,
     ordering: Ordering,
@@ -855,30 +842,6 @@ fn scoped_session(
         }
     }
     (result, stats, v, all_to_json_lines(&recordings))
-}
-
-/// Without the telemetry feature there is nothing to cross-check and no
-/// recorder to dump.
-#[cfg(not(feature = "telemetry"))]
-fn scoped_session(
-    s: &FaultSchedule,
-    ordering: Ordering,
-    fec: FecPolicy,
-    _session_tag: u32,
-    _tag: &str,
-) -> (
-    Result<NetClientReport, NetError>,
-    ProxyStats,
-    Vec<String>,
-    String,
-) {
-    let recorders = [
-        SessionRecorder::disabled(),
-        SessionRecorder::disabled(),
-        SessionRecorder::disabled(),
-    ];
-    let (result, stats) = raw_session(s, ordering, fec, recorders);
-    (result, stats, Vec::new(), String::new())
 }
 
 #[cfg(test)]

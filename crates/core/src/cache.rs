@@ -26,7 +26,10 @@
 //! Hit/miss/eviction counts are exported through `espread-telemetry` as
 //! `core.order_cache.{hits,misses,evictions}` and
 //! `core.layered_cache.{hits,misses,evictions}`, and are also available
-//! lock-free via [`spread_cache_stats`] / [`layered_cache_stats`].
+//! lock-free via [`spread_cache_stats`] / [`layered_cache_stats`]. Like
+//! the caches themselves, those counters are process-global: they are
+//! resolved once in the global registry, so a `with_current` override
+//! does not capture them.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -34,6 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 use espread_poset::Poset;
+use espread_telemetry::{global, Counter};
 
 use crate::cpo::{calculate_permutation, SpreadChoice};
 use crate::layered::LayeredOrder;
@@ -70,9 +74,9 @@ pub struct OrderCache<K, V> {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    hit_counter: &'static str,
-    miss_counter: &'static str,
-    evict_counter: &'static str,
+    hit_counter: Counter,
+    miss_counter: Counter,
+    evict_counter: Counter,
 }
 
 /// Point-in-time cache counters (see [`spread_cache_stats`]).
@@ -102,7 +106,7 @@ impl CacheStats {
 
 impl<K: Eq + Hash + Clone, V> OrderCache<K, V> {
     /// An empty cache with the [default capacity](DEFAULT_CACHE_CAPACITY),
-    /// reporting through the given telemetry counters.
+    /// reporting through the named counters of the global registry.
     pub fn new(
         hit_counter: &'static str,
         miss_counter: &'static str,
@@ -130,9 +134,9 @@ impl<K: Eq + Hash + Clone, V> OrderCache<K, V> {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            hit_counter,
-            miss_counter,
-            evict_counter,
+            hit_counter: global().counter(hit_counter),
+            miss_counter: global().counter(miss_counter),
+            evict_counter: global().counter(evict_counter),
         }
     }
 
@@ -156,12 +160,12 @@ impl<K: Eq + Hash + Clone, V> OrderCache<K, V> {
         if let Some(hit) = self.map.read().expect("cache lock").get(&key) {
             self.stamp(hit);
             self.hits.fetch_add(1, Ordering::Relaxed);
-            crate::telem::count(self.hit_counter);
+            self.hit_counter.inc();
             return Arc::clone(&hit.value);
         }
         let computed = Arc::new(compute());
         self.misses.fetch_add(1, Ordering::Relaxed);
-        crate::telem::count(self.miss_counter);
+        self.miss_counter.inc();
         let mut map = self.map.write().expect("cache lock");
         if !map.contains_key(&key) && map.len() >= self.capacity {
             // O(n) min-scan is fine here: eviction only runs on a miss that
@@ -173,7 +177,7 @@ impl<K: Eq + Hash + Clone, V> OrderCache<K, V> {
             if let Some(victim) = victim {
                 map.remove(&victim);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                crate::telem::count(self.evict_counter);
+                self.evict_counter.inc();
             }
         }
         let entry = map.entry(key).or_insert(Entry {

@@ -20,8 +20,8 @@
 //!   independent stream from the `(experiment, cell index, seed)` key via
 //!   FNV-1a into [`espread_netsim::rng::DetRng`], so `-j1` and `-jN`
 //!   draw exactly the same deviates.
-//! * **Telemetry merges at join.** With the `telemetry` feature, each
-//!   worker records into a private registry (installed thread-locally via
+//! * **Telemetry merges at join.** Each worker records into a private
+//!   registry (installed thread-locally via
 //!   `espread_telemetry::with_current`) and the executor folds the deltas
 //!   into the caller's current registry when the worker joins — in worker
 //!   order, without hot-loop contention on shared atomics.

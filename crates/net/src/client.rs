@@ -192,7 +192,7 @@ impl NetClient {
         'attempts: for attempt in 0..config.retry.max_attempts {
             if attempt > 0 {
                 hello_retries += 1;
-                telem.on_hello_retry();
+                telem.hello_retries.inc();
             }
             send_on(&socket, &telem, CONN_NONE, &hello, &mut send_buf);
             let deadline = Instant::now() + config.retry.backoff(attempt);
@@ -212,7 +212,7 @@ impl NetClient {
                     }
                     Err(e) => return Err(NetError::Io(e)),
                 };
-                telem.on_rx();
+                telem.datagrams_rx.inc();
                 match wire::decode(&buf[..len]) {
                     Ok((conn_id, Msg::Accept(accept))) if accept.nonce == nonce => {
                         validate_accept(&accept)?;
@@ -244,7 +244,7 @@ impl NetClient {
                         continue 'attempts;
                     }
                     Ok(_) => {} // stale or foreign: keep waiting
-                    Err(_) => telem.on_decode_error(),
+                    Err(_) => telem.decode_errors.inc(),
                 }
             }
         }
@@ -274,7 +274,7 @@ impl NetClient {
         let mut started = false;
         'begin: for attempt in 0..self.config.retry.max_attempts {
             if attempt > 0 {
-                self.telem.on_begin_retry();
+                self.telem.begin_retries.inc();
             }
             if !send_on(
                 &self.socket,
@@ -300,7 +300,7 @@ impl NetClient {
                             break 'begin;
                         }
                         Err(_) => {
-                            self.telem.on_decode_error();
+                            self.telem.decode_errors.inc();
                             self.config.recorder.decode_error(self.conn_id);
                         }
                     }
@@ -332,7 +332,7 @@ impl NetClient {
                         st.decode_scratch.recycle(msg);
                     }
                     Err(_) => {
-                        self.telem.on_decode_error();
+                        self.telem.decode_errors.inc();
                         self.config.recorder.decode_error(self.conn_id);
                     }
                 }
@@ -370,7 +370,7 @@ impl NetClient {
         }
         match self.socket.recv(buf) {
             Ok(len) => {
-                self.telem.on_rx();
+                self.telem.datagrams_rx.inc();
                 Ok(Some(len))
             }
             Err(e)
@@ -424,7 +424,7 @@ impl NetClient {
                         obs.reassembled(self.conn_id, w, frame, data.fragment.frags_total);
                     }
                 } else {
-                    self.telem.on_bad_fragment();
+                    self.telem.bad_fragments.inc();
                     obs.bad_fragment(self.conn_id, w, frame, frag);
                 }
             }
@@ -451,7 +451,7 @@ impl NetClient {
                 }
                 let cur = st.current.as_mut().expect("opened above");
                 if !cur.accept_parity(parity) {
-                    self.telem.on_bad_fragment();
+                    self.telem.bad_fragments.inc();
                 }
             }
             Msg::WindowEnd(end) => {
@@ -551,11 +551,11 @@ impl NetClient {
     fn run_recovery(&self, st: &mut StreamState, win: &mut NetWindow) {
         let r = win.recover_with(&mut st.recover_scratch);
         if r.recovered > 0 {
-            self.telem.on_fec_recovered(r.recovered as u64);
+            self.telem.fec_recovered.add(r.recovered as u64);
             st.fec_recovered += r.recovered as u64;
         }
         if r.unrecoverable > 0 {
-            self.telem.on_fec_unrecoverable(r.unrecoverable as u64);
+            self.telem.fec_unrecoverable.add(r.unrecoverable as u64);
             st.fec_unrecoverable += r.unrecoverable as u64;
         }
     }
@@ -579,7 +579,7 @@ impl NetClient {
         );
         st.series.push(ContinuityMetrics::of(&outcome.pattern));
         st.patterns.push(outcome.pattern);
-        self.telem.on_window();
+        self.telem.windows.inc();
         self.ack(st, outcome.window, echo_us, outcome.per_layer_burst.clone());
         st.acked.insert(outcome.window, outcome.per_layer_burst);
         if st.acked.len() >= st.windows_total && st.completed_at.is_none() {
@@ -644,14 +644,14 @@ fn send_on(
     // An oversize message (e.g. a NACK list inflated by hostile labels)
     // is counted and dropped, never truncated and never a panic.
     if wire::try_encode_into(conn_id, msg, buf).is_err() {
-        telem.on_encode_oversize();
+        telem.encode_oversize.inc();
         return false;
     }
     if socket.send(buf).is_err() {
-        telem.on_send_error();
+        telem.send_errors.inc();
         return false;
     }
-    telem.on_tx();
+    telem.datagrams_tx.inc();
     true
 }
 

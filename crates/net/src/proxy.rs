@@ -233,7 +233,7 @@ impl DirState {
                             &self.counters.dropped_parity
                         };
                         counter.fetch_add(1, AtomicOrdering::Relaxed);
-                        self.telem.on_dropped();
+                        self.telem.dropped.inc();
                         if let Some(l) = labels {
                             self.obs.dropped_data(l);
                         }
@@ -246,7 +246,7 @@ impl DirState {
                 self.counters
                     .dropped_control
                     .fetch_add(1, AtomicOrdering::Relaxed);
-                self.telem.on_dropped();
+                self.telem.dropped.inc();
                 self.obs.dropped_control(conn, ty);
                 return Vec::new();
             }
@@ -268,7 +268,7 @@ impl DirState {
             self.counters
                 .corrupted
                 .fetch_add(1, AtomicOrdering::Relaxed);
-            self.telem.on_corrupted();
+            self.telem.corrupted.inc();
             self.obs.corrupted(labels, conn);
         }
         if self
@@ -280,7 +280,7 @@ impl DirState {
             self.counters
                 .truncated
                 .fetch_add(1, AtomicOrdering::Relaxed);
-            self.telem.on_truncated();
+            self.telem.truncated.inc();
             self.obs.truncated(labels, conn);
         }
         let mut out = Vec::with_capacity(2);
@@ -293,7 +293,7 @@ impl DirState {
             self.counters
                 .reordered
                 .fetch_add(1, AtomicOrdering::Relaxed);
-            self.telem.on_reordered();
+            self.telem.reordered.inc();
             if let Some(l) = labels {
                 self.obs.reordered(l);
             }
@@ -307,7 +307,7 @@ impl DirState {
             self.counters
                 .duplicated
                 .fetch_add(1, AtomicOrdering::Relaxed);
-            self.telem.on_duplicated();
+            self.telem.duplicated.inc();
             if let Some(l) = labels {
                 self.obs.duplicated(l);
             }
@@ -330,7 +330,7 @@ impl DirState {
             .forwarded
             .fetch_add(out.len() as u64, AtomicOrdering::Relaxed);
         for _ in &out {
-            self.telem.on_forwarded();
+            self.telem.forwarded.inc();
         }
         out
     }
@@ -412,7 +412,7 @@ impl FaultProxy {
                                         up.counters
                                             .send_errors
                                             .fetch_add(1, AtomicOrdering::Relaxed);
-                                        up.telem.on_send_error();
+                                        up.telem.send_errors.inc();
                                     }
                                 }
                             }
@@ -434,7 +434,7 @@ impl FaultProxy {
                                             down.counters
                                                 .send_errors
                                                 .fetch_add(1, AtomicOrdering::Relaxed);
-                                            down.telem.on_send_error();
+                                            down.telem.send_errors.inc();
                                         }
                                     }
                                 }

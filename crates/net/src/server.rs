@@ -493,11 +493,11 @@ impl Demux {
         live: &mut HashSet<u32>,
         next_conn: &mut u32,
     ) {
-        self.telem.on_rx();
+        self.telem.datagrams_rx.inc();
         let (conn_id, msg) = match wire::decode(datagram) {
             Ok(ok) => ok,
             Err(_) => {
-                self.telem.on_decode_error();
+                self.telem.decode_errors.inc();
                 return;
             }
         };
@@ -508,8 +508,11 @@ impl Demux {
                     // Duplicate Hello (our reply was lost): resend the
                     // cached verdict, idempotently.
                     match self.socket.send_to(reply, addr) {
-                        Ok(_) => self.telem.on_tx(reply.len()),
-                        Err(_) => self.telem.on_send_error(),
+                        Ok(_) => {
+                            self.telem.datagrams_tx.inc();
+                            self.telem.bytes_tx.add(reply.len() as u64);
+                        }
+                        Err(_) => self.telem.send_errors.inc(),
                     }
                     return;
                 }
@@ -526,7 +529,7 @@ impl Demux {
                     // the cache insert below makes duplicated Hellos get
                     // the identical Busy back.
                     Ok(_) if self.max_sessions != 0 && live.len() >= self.max_sessions => {
-                        self.telem.on_busy_rejection();
+                        self.telem.busy_rejections.inc();
                         wire::encode(
                             CONN_NONE,
                             &Msg::Busy {
@@ -555,7 +558,7 @@ impl Demux {
                                 // A reason too long for the wire: send
                                 // a short typed refusal instead of a
                                 // silently cut one.
-                                self.telem.on_encode_oversize();
+                                self.telem.encode_oversize.inc();
                                 wire::encode(
                                     CONN_NONE,
                                     &Msg::Reject(Reject {
@@ -568,11 +571,14 @@ impl Demux {
                     }
                 };
                 match self.socket.send_to(&reply, from) {
-                    Ok(_) => self.telem.on_tx(reply.len()),
-                    Err(_) => self.telem.on_send_error(),
+                    Ok(_) => {
+                        self.telem.datagrams_tx.inc();
+                        self.telem.bytes_tx.add(reply.len() as u64);
+                    }
+                    Err(_) => self.telem.send_errors.inc(),
                 }
                 for _ in 0..handshakes.insert(hello.nonce, from, reply, now) {
-                    self.telem.on_handshake_eviction();
+                    self.telem.handshake_evictions.inc();
                 }
             }
             other if conn_id != CONN_NONE && live.contains(&conn_id) => {
@@ -619,7 +625,7 @@ impl Demux {
         }
         live.insert(conn_id);
         self.live_gauge.fetch_add(1, AtomicOrdering::SeqCst);
-        self.telem.on_session();
+        self.telem.sessions.inc();
         Some(conn_id)
     }
 }

@@ -328,7 +328,7 @@ impl SessionCore {
         // A whole watchdog period with no datagram in either direction:
         // tell the peer the stream is gone (best-effort, unacked) and
         // end in a typed outcome so the shard reaps the session.
-        self.telem.on_watchdog_termination();
+        self.telem.watchdog_terminations.inc();
         self.send(ctx, &Msg::Bye(ByeReason::Aborted));
         self.disarm();
         self.phase = Phase::Done;
@@ -348,7 +348,7 @@ impl SessionCore {
     fn send(&mut self, ctx: &mut Ctx<'_>, msg: &Msg) {
         self.progress += 1;
         let Ok(span) = wire::try_encode_append(self.conn_id, msg, ctx.scratch) else {
-            self.telem.on_encode_oversize();
+            self.telem.encode_oversize.inc();
             self.obs.refused_msg(self.conn_id, msg);
             return;
         };
@@ -367,9 +367,12 @@ impl SessionCore {
         for span in self.batch_spans.drain(..) {
             let datagram = &ctx.scratch[span];
             match ctx.socket.send_to(datagram, self.peer) {
-                Ok(_) => self.telem.on_tx(datagram.len()),
+                Ok(_) => {
+                    self.telem.datagrams_tx.inc();
+                    self.telem.bytes_tx.add(datagram.len() as u64);
+                }
                 Err(_) => {
-                    self.telem.on_send_error();
+                    self.telem.send_errors.inc();
                     self.send_errors += 1;
                 }
             }
@@ -577,7 +580,8 @@ impl SessionCore {
                 fec.members = members;
             }
         }
-        self.telem.on_fec_group(m as u64);
+        self.telem.fec_groups.inc();
+        self.telem.fec_parity_sent.add(m as u64);
     }
 
     /// The transmit pump: while in the sending phase and the pacing
@@ -619,7 +623,7 @@ impl SessionCore {
             // hits the wire, so every shed is a step back toward the
             // schedule.
             if self.cursor.frag == 0 && self.should_shed(ctx.now, frame) {
-                self.telem.on_shed_enhancement();
+                self.telem.shed_enhancement.inc();
                 self.obs
                     .shed(self.conn_id, self.window as u64, frame as u32);
                 self.cursor.slot += 1;
@@ -666,7 +670,7 @@ impl SessionCore {
         if let Msg::WindowAck(ack) = msg {
             if ack.echo_us != 0 {
                 let at_us = at.saturating_duration_since(self.epoch).as_micros() as u64;
-                self.telem.rtt_us(at_us.saturating_sub(ack.echo_us));
+                self.telem.rtt_us.record(at_us.saturating_sub(ack.echo_us));
             }
             self.obs.ack_received(self.conn_id, ack.window, ack.ack_seq);
             self.proto.offer_ack(
@@ -710,7 +714,7 @@ impl SessionCore {
     fn finish_complete(&mut self) -> Status {
         self.disarm();
         self.phase = Phase::Done;
-        self.telem.on_session_complete();
+        self.telem.sessions_completed.inc();
         Status::Finished
     }
 
@@ -761,11 +765,11 @@ impl SessionCore {
                         for frame in missing {
                             self.obs.nack_received(self.conn_id, w, frame as u32);
                             if stale {
-                                self.telem.on_shed_stale_retx();
+                                self.telem.shed_stale_retx.inc();
                                 self.obs.shed(self.conn_id, w, frame as u32);
                                 continue;
                             }
-                            self.telem.on_retransmission();
+                            self.telem.retransmissions.inc();
                             self.retransmit_frame(ctx, frame);
                         }
                         let end = self.window_end(ctx.now, w);
@@ -832,7 +836,7 @@ impl SessionCore {
         }
         match self.phase {
             Phase::AwaitBegin => {
-                self.telem.on_handshake_timeout();
+                self.telem.handshake_timeouts.inc();
                 self.phase = Phase::Done;
                 Status::Finished
             }
@@ -840,7 +844,7 @@ impl SessionCore {
             Phase::AwaitAck { attempt } => {
                 let w = self.window as u64;
                 if attempt + 1 < self.retry.max_attempts {
-                    self.telem.on_retry();
+                    self.telem.retries.inc();
                     let end = self.window_end(ctx.now, w);
                     self.send(ctx, &end);
                     self.phase = Phase::AwaitAck {
@@ -852,7 +856,7 @@ impl SessionCore {
                 } else {
                     // Retry budget spent: record the timeout and move on —
                     // streaming must not stall forever on a dead peer.
-                    self.telem.on_ack_timeout();
+                    self.telem.ack_timeouts.inc();
                     self.obs
                         .ack_timeout(self.conn_id, w, self.retry.max_attempts);
                     self.advance_window(ctx);
@@ -861,7 +865,7 @@ impl SessionCore {
             }
             Phase::Teardown { attempt } => {
                 if attempt + 1 < self.retry.max_attempts {
-                    self.telem.on_retry();
+                    self.telem.retries.inc();
                     self.send(ctx, &Msg::Bye(ByeReason::Complete));
                     self.phase = Phase::Teardown {
                         attempt: attempt + 1,

@@ -121,7 +121,7 @@ impl Shard {
             for conn in finished.drain(..) {
                 if sessions.remove(&conn).is_some() {
                     self.live_gauge.fetch_sub(1, AtomicOrdering::SeqCst);
-                    self.telem.on_session_reaped();
+                    self.telem.sessions_reaped.inc();
                     let _ = self.reaped.send(conn);
                 }
             }
@@ -177,7 +177,7 @@ impl Shard {
             for conn in finished.drain(..) {
                 if sessions.remove(&conn).is_some() {
                     self.live_gauge.fetch_sub(1, AtomicOrdering::SeqCst);
-                    self.telem.on_session_reaped();
+                    self.telem.sessions_reaped.inc();
                     let _ = self.reaped.send(conn);
                 }
             }

@@ -301,7 +301,6 @@ fn parity_repairs_coverable_bursts_with_zero_nack_rounds() {
 
 /// Telemetry end to end: a scoped registry captures socket, retry, and
 /// RTT-histogram metrics, and its Prometheus rendering parses.
-#[cfg(feature = "telemetry")]
 #[test]
 fn telemetry_counts_the_session_and_exports_prometheus() {
     use espread_telemetry::sink::to_prometheus_text;
@@ -399,7 +398,6 @@ fn finished_sessions_are_reaped_from_the_connection_table() {
 /// handshakes (hostile capabilities, so no session spawns) and assert the
 /// TTL/LRU cache evicts — then prove the server still serves a real
 /// client afterwards.
-#[cfg(feature = "telemetry")]
 #[test]
 fn handshake_nonce_flood_is_bounded_by_the_cache_cap() {
     use espread_net::wire::{self, Hello};

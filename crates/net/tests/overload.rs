@@ -180,7 +180,6 @@ fn overload_wave_gets_typed_busy_and_the_server_recovers() {
 /// the sheds landed only on enhancement frames: with recovery disabled,
 /// the critical set still arrives intact on every window of every
 /// session.
-#[cfg(feature = "telemetry")]
 #[test]
 fn unsustainable_pace_sheds_enhancement_frames_but_never_critical() {
     use espread_telemetry::{with_current, Registry};

@@ -160,11 +160,11 @@ impl Link {
         self.busy_until = departure;
         self.stats.offered += 1;
         self.stats.bytes_offered += u64::from(packet.size_bytes);
-        self.telem.on_offered();
-        if self.loss.step_delivers(now, packet.size_bytes) {
+        let delivered = self.loss.step_delivers(now, packet.size_bytes);
+        self.telem.packet(delivered);
+        if delivered {
             self.stats.delivered += 1;
             self.stats.bytes_delivered += u64::from(packet.size_bytes);
-            self.telem.on_delivered();
             let jitter = if self.jitter == SimDuration::ZERO {
                 SimDuration::ZERO
             } else {
@@ -176,7 +176,6 @@ impl Link {
             })
         } else {
             self.stats.lost += 1;
-            self.telem.on_lost();
             TransmitOutcome::Lost(packet)
         }
     }

@@ -23,9 +23,9 @@
 //! preallocated slot — zero heap allocation on the steady-state hot path
 //! (asserted by a counting-allocator test) and bounded memory always
 //! (overflow overwrites the oldest event and increments a drop counter).
-//! When `espread-net` is built without its `telemetry` feature the
-//! recording hooks compile to nothing; this crate itself is
-//! feature-free and tiny.
+//! `espread-net` carries a recorder into each role through its
+//! `SessionRecorder` hook, which is disabled unless a recorder is
+//! attached; this crate itself is feature-free and tiny.
 //!
 //! ```
 //! use espread_obs::{data_detail, reconstruct, trio, EventKind};

@@ -15,9 +15,7 @@
 //! * [`Ordering::InOrder`]: plain playout order (the "usual MPEG
 //!   transmission model"), layer labels kept for bookkeeping.
 
-use espread_core::{
-    calculate_permutation_cached, ibo::inverse_binary_order, try_burst_clf, Permutation,
-};
+use espread_core::{calculate_permutation_cached, ibo::inverse_binary_order, Permutation};
 use espread_poset::Poset;
 
 use crate::config::Ordering;
@@ -42,20 +40,44 @@ pub struct LayerInfo {
     pub critical: bool,
     /// The burst bound its permutation was sized for.
     pub burst_bound: usize,
-    /// The within-layer transmission order: entry `slot` is the
-    /// layer-local playout index sent at that layer slot.
-    pub order: Vec<usize>,
+    /// The within-layer transmission order: `order.playout_of_slot(slot)`
+    /// is the layer-local playout index sent at that layer slot.
+    pub order: Permutation,
 }
 
 impl LayerInfo {
-    /// The CLF (in layer-local playout positions) a burst over this
-    /// layer's transmission slots `start .. start + len` would cause under
-    /// the layer's order. Out-of-window bursts are truncated (feedback can
-    /// report a burst straddling the window boundary); returns `None` for
-    /// a burst entirely outside the layer.
-    pub fn projected_clf(&self, start: usize, len: usize) -> Option<usize> {
-        let perm = Permutation::from_vec(self.order.clone()).ok()?;
-        try_burst_clf(&perm, start, len)
+    /// The worst CLF (in layer-local playout positions) that a burst of
+    /// `len` transmission slots causes under the layer's order, over every
+    /// start slot. Out-of-window bursts are truncated (feedback can report
+    /// a burst straddling the window boundary or longer than a shrunken
+    /// layer), so a burst at least as long as the layer loses all of it.
+    /// Returns `None` for an empty layer or burst.
+    pub fn worst_projected_clf(&self, len: usize) -> Option<usize> {
+        if self.order.is_empty() || len == 0 {
+            return None;
+        }
+        // A run of consecutive playout positions is lost together exactly
+        // when its slots fit in one burst (highest − lowest slot < len);
+        // a truncated burst loses a subset of some full-length one.
+        let slot_of = self.order.inverse_slice();
+        let mut worst = 0;
+        for start in 0..slot_of.len() {
+            if slot_of.len() - start <= worst {
+                break;
+            }
+            let (mut lo, mut hi) = (slot_of[start], slot_of[start]);
+            let mut run = 1;
+            for &slot in &slot_of[start + 1..] {
+                lo = lo.min(slot);
+                hi = hi.max(slot);
+                if hi - lo >= len {
+                    break;
+                }
+                run += 1;
+            }
+            worst = worst.max(run);
+        }
+        Some(worst)
     }
 }
 
@@ -102,29 +124,21 @@ impl WindowPlan {
             .map(|layer| layer.iter().any(|&f| poset.upset_size(f) > 0))
             .collect();
 
-        // Per-layer transmission order of layer-local indices.
-        let mut layer_orders: Vec<Vec<usize>> = Vec::with_capacity(decomposition.len());
         let mut layers: Vec<LayerInfo> = Vec::with_capacity(decomposition.len());
         for (idx, frames) in decomposition.iter().enumerate() {
             let len = frames.len();
             let critical = is_critical[idx];
-            let (order, bound): (Vec<usize>, usize) = match ordering {
-                Ordering::InOrder => ((0..len).collect(), 0),
+            let (order, bound) = match ordering {
+                Ordering::InOrder => (Permutation::identity(len), 0),
                 Ordering::Spread { .. } => {
                     let b = bound_for(idx, len, critical, adaptive);
-                    (
-                        calculate_permutation_cached(len, b)
-                            .permutation
-                            .as_slice()
-                            .to_vec(),
-                        b,
-                    )
+                    (calculate_permutation_cached(len, b).permutation.clone(), b)
                 }
                 Ordering::Ibo => {
                     if critical {
-                        ((0..len).collect(), 0)
+                        (Permutation::identity(len), 0)
                     } else {
-                        (inverse_binary_order(len).as_slice().to_vec(), 0)
+                        (inverse_binary_order(len), 0)
                     }
                 }
             };
@@ -132,9 +146,8 @@ impl WindowPlan {
                 frames: frames.clone(),
                 critical,
                 burst_bound: bound,
-                order: order.clone(),
+                order,
             });
-            layer_orders.push(order);
         }
 
         // Assemble the global schedule.
@@ -162,8 +175,8 @@ impl WindowPlan {
                 }
             }
             Ordering::Spread { .. } | Ordering::Ibo => {
-                for (l, order) in layer_orders.iter().enumerate() {
-                    for (slot, &local) in order.iter().enumerate() {
+                for (l, layer) in layers.iter().enumerate() {
+                    for (slot, &local) in layer.order.as_slice().iter().enumerate() {
                         schedule.push(ScheduledFrame {
                             frame: decomposition[l][local],
                             layer: l as u8,
@@ -284,6 +297,22 @@ mod tests {
         // Critical layers ignore the estimates (fixed permutation).
         assert_eq!(a.layers[0].burst_bound, 1); // len 2 / 2
         assert_eq!(b.layers[0].burst_bound, 1);
+    }
+
+    #[test]
+    fn worst_projected_clf_edge_cases() {
+        let layer = |order: Vec<usize>| LayerInfo {
+            frames: (0..order.len()).collect(),
+            critical: false,
+            burst_bound: 1,
+            order: Permutation::from_vec(order).expect("test orders are permutations"),
+        };
+        assert_eq!(layer(vec![]).worst_projected_clf(3), None);
+        assert_eq!(layer(vec![0, 2, 4, 1, 3]).worst_projected_clf(0), None);
+        // A burst longer than the layer loses every frame.
+        assert_eq!(layer(vec![0, 2, 4, 1, 3]).worst_projected_clf(9), Some(5));
+        // No two adjacent slots carry adjacent playout positions.
+        assert_eq!(layer(vec![0, 2, 4, 1, 3]).worst_projected_clf(2), Some(1));
     }
 
     #[test]

@@ -123,7 +123,6 @@ impl Session {
     /// Routes this session's telemetry (phase spans, per-window ALF/CLF
     /// gauges, adaptation events) to `registry` instead of the process
     /// global — used by tests to observe one session in isolation.
-    #[cfg(feature = "telemetry")]
     pub fn with_telemetry(mut self, registry: espread_telemetry::Registry) -> Self {
         self.telem = crate::telem::SessionTelem::new(registry);
         self
@@ -175,20 +174,18 @@ impl Session {
             let window_end = window_start + cycle;
 
             // 1. Server reads feedback that has arrived by now.
-            {
-                let _span = self.telem.span("protocol.session.feedback_ns");
+            self.telem.feedback_ns.time(|| {
                 for d in channel.poll_acks(window_start) {
                     if let FeedbackMsg::WindowAck(fb) = d.packet.payload {
                         server.offer_ack(d.packet.seq, fb);
                     }
                 }
-            }
-            let plan = {
-                let _span = self.telem.span("protocol.session.plan_ns");
-                server.plan_window(&self.source.poset)
-            };
+            });
+            let plan = self
+                .telem
+                .plan_ns
+                .time(|| server.plan_window(&self.source.poset));
             if let Some(record) = server.take_last_adaptation() {
-                self.telem.adaptation(w, &record);
                 // Project the observed bursts through the freshly planned
                 // orders: the worst CLF the new plan would admit if each
                 // layer's reported burst recurred at the least favourable
@@ -199,16 +196,12 @@ impl Session {
                     .layers
                     .iter()
                     .zip(&record.observed_bursts)
-                    .filter(|&(_, &b)| b > 0)
-                    .filter_map(|(layer, &b)| {
-                        (0..layer.order.len())
-                            .filter_map(|start| layer.projected_clf(start, b))
-                            .max()
-                    })
+                    .filter_map(|(layer, &b)| layer.worst_projected_clf(b))
                     .max();
                 if let Some(clf) = worst {
                     self.telem.projected_clf(clf);
                 }
+                self.telem.adaptation(w, record);
             }
             estimate_history.push(server.raw_estimates());
 
@@ -277,7 +270,7 @@ impl Session {
             };
 
             // 2. Critical phase.
-            let send_span = self.telem.span("protocol.session.send_ns");
+            let send_span = self.telem.send_ns.start_timer();
             let (critical, rest) = plan.schedule.split_at(plan.critical_prefix);
             for sf in critical {
                 let _ = send_frame(
@@ -344,7 +337,7 @@ impl Session {
                             &mut dropped_frames,
                         ) {
                             retransmissions += 1;
-                            self.telem.on_retransmission();
+                            self.telem.retransmissions.inc();
                         }
                     }
                     resume_at = channel.forward().busy_until().max(resume_at);
@@ -384,7 +377,7 @@ impl Session {
             for d in channel.poll_data(deadline) {
                 client.accept(d.arrived_at, &d.packet.payload);
             }
-            let outcome = client.finalize(deadline);
+            let outcome = self.telem.finalize_ns.time(|| client.finalize(deadline));
             fec_recovered += outcome.fec_recovered as u64;
             timing.record_window(window_start, cycle, frame_duration, &outcome.completions);
             for &f in &plan.critical_frames() {

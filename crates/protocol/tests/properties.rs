@@ -1,7 +1,9 @@
 //! Property-based tests for protocol invariants across random
 //! configurations and channels.
 
-use espread_protocol::{Ordering, ProtocolConfig, Recovery, Session, StreamSource, WindowPlan};
+use espread_protocol::{
+    LayerInfo, Ordering, ProtocolConfig, Recovery, Session, StreamSource, WindowPlan,
+};
 use espread_trace::{AudioStream, GopPattern, Movie, MpegTrace};
 use proptest::prelude::*;
 
@@ -111,5 +113,38 @@ proptest! {
         )
         .run();
         prop_assert!(fec.bytes_offered > base.bytes_offered);
+    }
+}
+
+/// A random layer order of 1..40 frames paired with a burst length that
+/// can exceed the layer (up to twice its length plus one).
+fn order_and_burst() -> impl Strategy<Value = (Vec<usize>, usize)> {
+    (1usize..40).prop_flat_map(|n| {
+        (
+            Just((0..n).collect::<Vec<usize>>()).prop_shuffle(),
+            1usize..2 * n + 2,
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one-pass worst projected CLF equals the maximum of the
+    /// per-start truncated reference over every start slot.
+    #[test]
+    fn worst_projected_clf_matches_per_start_reference(case in order_and_burst()) {
+        let (order, len) = case;
+        let perm = espread_core::Permutation::from_vec(order).unwrap();
+        let reference = (0..perm.len())
+            .filter_map(|start| espread_core::try_burst_clf(&perm, start, len))
+            .max();
+        let layer = LayerInfo {
+            frames: (0..perm.len()).collect(),
+            critical: false,
+            burst_bound: 1,
+            order: perm,
+        };
+        prop_assert_eq!(layer.worst_projected_clf(len), reference);
     }
 }

@@ -63,8 +63,14 @@ impl HistogramCore {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // The extrema only ever tighten, so a sample that does not beat
+        // the current one skips the read-modify-write.
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Folds a snapshot (typically from another registry's histogram of
@@ -149,6 +155,24 @@ impl HistogramSnapshot {
         self.buckets.iter().map(|&(_, n)| n).sum()
     }
 
+    /// The lower bound of the bucket holding the `q`-quantile sample
+    /// (nearest rank, `q` clamped to `0..=1`), or `None` when the
+    /// histogram is empty.
+    pub fn percentile(&self, q: f64) -> Option<u64> {
+        if self.count == 0 {
+            return None;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        let mut seen = 0;
+        for &(bound, n) in &self.buckets {
+            seen += n;
+            if seen >= rank {
+                return Some(bound);
+            }
+        }
+        Some(self.max)
+    }
+
     /// Folds `other` into `self` (bucket-wise addition; min/max widen).
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         if other.count == 0 {
@@ -231,6 +255,38 @@ mod tests {
                 "bucket {i}: {lo}..{hi}"
             );
         }
+    }
+
+    #[test]
+    fn percentile_of_empty_is_none() {
+        let h = HistogramCore::new().snapshot();
+        assert_eq!(h.count, 0);
+        assert_eq!(h.percentile(0.0), None);
+        assert_eq!(h.percentile(0.5), None);
+        assert_eq!(h.percentile(1.0), None);
+    }
+
+    #[test]
+    fn percentile_of_one_sample_is_its_bucket() {
+        let core = HistogramCore::new();
+        core.record(1_000);
+        let h = core.snapshot();
+        let bound = bucket_lower_bound(bucket_index(1_000));
+        for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
+            assert_eq!(h.percentile(q), Some(bound), "q = {q}");
+        }
+    }
+
+    #[test]
+    fn percentile_walks_buckets_by_rank() {
+        let core = HistogramCore::new();
+        for v in 1..=10 {
+            core.record(v);
+        }
+        let h = core.snapshot();
+        assert_eq!(h.percentile(0.5), Some(5));
+        assert_eq!(h.percentile(0.99), Some(10));
+        assert_eq!(h.percentile(0.0), Some(1));
     }
 
     #[test]

@@ -18,14 +18,15 @@
 //!   several registries (or runs) together, and [`Registry::absorb`]
 //!   folds a snapshot back into a live registry.
 //! * **Thread-scoped routing.** [`with_current`] installs a thread-local
-//!   registry override that [`current`] resolves; the per-crate shims
-//!   record through [`current`], so a parallel executor can hand each
+//!   registry override that [`current`] resolves; instrumented crates
+//!   resolve their handles through [`current`] (or record ad hoc via
+//!   [`span`] and [`count`]), so a parallel executor can hand each
 //!   worker a private registry and merge the deltas once at join instead
 //!   of contending on shared atomics in the hot loop.
-//! * **Compile-out-able.** This crate is always cheap to build (std only);
-//!   the *instrumented* crates gate their call sites behind their own
-//!   `telemetry` cargo feature (on by default), so
-//!   `--no-default-features` builds reduce every call site to a no-op.
+//! * **Always on.** This crate is std only and cheap to build, and every
+//!   instrumented crate depends on it unconditionally: there is one
+//!   build, and it records. Hot paths stay cheap by resolving their
+//!   handles once rather than by compiling the instruments out.
 //!
 //! ## Example
 //!
@@ -60,5 +61,6 @@ pub mod sink;
 pub use event::Event;
 pub use hist::HistogramSnapshot;
 pub use registry::{
-    current, global, with_current, Counter, Gauge, Histogram, Registry, Snapshot, SpanGuard,
+    count, current, global, span, with_current, Counter, Gauge, Histogram, Registry, Snapshot,
+    SpanGuard,
 };

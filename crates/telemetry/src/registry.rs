@@ -328,9 +328,10 @@ impl Drop for CurrentGuard {
 /// Runs `f` with `registry` installed as this thread's [`current`]
 /// registry. Overrides nest (a stack) and are restored on exit, including
 /// panics. Instrumentation that resolves its registry through [`current`]
-/// — the per-crate telemetry shims — records into `registry` for the
-/// duration, letting a parallel executor give each worker thread a
-/// private registry and merge the deltas once at join.
+/// — the per-crate instrument structs and [`span`] / [`count`] — records
+/// into `registry` for the duration, letting a parallel executor give
+/// each worker thread a private registry and merge the deltas once at
+/// join.
 pub fn with_current<R>(registry: &Registry, f: impl FnOnce() -> R) -> R {
     CURRENT.with(|stack| stack.borrow_mut().push(registry.clone()));
     let _guard = CurrentGuard;
@@ -343,6 +344,20 @@ pub fn current() -> Registry {
     CURRENT
         .with(|stack| stack.borrow().last().cloned())
         .unwrap_or_else(|| global().clone())
+}
+
+/// Starts an RAII span recording elapsed nanoseconds into the named
+/// histogram of the [`current`] registry. For call sites that hold no
+/// resolved handle; hot loops should keep a [`Histogram`] instead.
+#[inline]
+pub fn span(name: &str) -> SpanGuard {
+    current().histogram(name).start_timer()
+}
+
+/// Adds `n` to the named counter of the [`current`] registry.
+#[inline]
+pub fn count(name: &str, n: u64) {
+    current().counter(name).add(n);
 }
 
 /// A point-in-time copy of a whole registry.
